@@ -25,6 +25,11 @@ __all__ = ["MachineConfig", "TOPOLOGY_KINDS"]
 #: :mod:`repro.machine.profiles` (see docs/machines.md)
 TOPOLOGY_KINDS = ("hypercube", "fattree", "dragonfly")
 
+#: derived keys that selected the removed scalar twins of the engine loop,
+#: the network transfer and MPI matching; rejected so a stale setting fails
+#: loudly instead of being ignored
+RETIRED_DERIVED_KEYS = ("engine_batch", "net_batch", "mpi_match_batch")
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -135,6 +140,13 @@ class MachineConfig:
             raise ValueError(
                 f"dragonfly_group must be >= 2, got {self.dragonfly_group}"
             )
+        for key in RETIRED_DERIVED_KEYS:
+            if key in self.derived:
+                raise ValueError(
+                    f"derived[{key!r}] is no longer accepted: the scalar path it "
+                    "selected was removed, and the single remaining path gives "
+                    "the same simulated timeline; drop the key"
+                )
 
     @property
     def cycle_ns(self) -> float:

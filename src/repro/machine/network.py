@@ -15,13 +15,14 @@ routers / 32 CPUs)::
 
 Contention appears as queueing delay on busy links.
 
-The common case — every link of the route free, no faults — takes a batched
-fast path that claims the whole contention-free hop sequence inline and
-sleeps once, instead of driving each link through the generator-based
-``Resource.acquire``.  An uncontended acquire never yields to the engine, so
-the fast path is bit-identical in simulated time and statistics to the
-scalar loop (``config.derived["net_batch"] = "off"`` restores it; see
-``tests/test_invariants_highp.py``).
+There are two ways to move bytes.  :meth:`Network.transfer` is a
+generator that acquires each link of the route through
+``Resource.acquire`` (it handles contention and fault injection).
+:meth:`Network.transfer_async` is the timer path: when the route is free
+and faults are off, it claims every link inline and completes the
+transfer with one engine timer, with no coroutine at all; a contended
+route falls back to the caller's generator from the same engine slot, so
+the timeline is the same either way.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class Network:
             Resource(engine, capacity=1, name=repr(link))
             for link in topology.links
         ]
-        self.batch_enabled = (
-            str(self.config.derived.get("net_batch", "on")).lower()
-            not in ("off", "0", "false")
-        )
-        self.batch_fast_transfers = 0  # transfers that took the fast path
         self.timer_fast_transfers = 0  # transfers completed by an engine timer
         # per-link byte counters, allocated only when link stats are on
         # (derived["link_stats"] = "on") — the default pays nothing beyond
@@ -144,31 +140,6 @@ class Network:
             for i in link_idxs:
                 self.link_bytes[i] += nbytes
         pipe_ns = static_ns + nbytes / self.config.link_bandwidth_bpns
-        if (
-            self.batch_enabled
-            and not self.faults.enabled
-            and all(r.in_use < r.capacity and not r._waiters for r in resources)
-        ):
-            # batched fast path: every hop of the route is contention-free, so
-            # claim the whole sequence inline (an uncontended acquire never
-            # yields — see Resource.acquire) and sleep exactly once.  Releases
-            # go through Resource.release so a waiter that arrived during the
-            # transfer gets the same FIFO handoff as on the scalar path.
-            self.batch_fast_transfers += 1
-            for r in resources:
-                r.total_acquires += 1
-                r._account()
-                r.in_use += 1
-            try:
-                yield Delay(pipe_ns)
-            finally:
-                for r in reversed(resources):
-                    r.release()
-            if self.obs.enabled:
-                self.obs.emit(
-                    "net", t0, src_node, dst_node, nbytes, dur=self.engine.now - t0
-                )
-            return True
         dropped = False
         extra_ns = 0.0
         duplicated = False
@@ -218,29 +189,24 @@ class Network:
         fallback_fn,
         fallback_args: tuple = (),
     ) -> bool:
-        """Timer fast path: deliver without spawning a transfer coroutine.
+        """Timer path: deliver without spawning a transfer coroutine.
 
-        When the batched engine is active, the transfer is started by a
-        zero-delay timer (:meth:`_start_transfer`) that occupies exactly
-        the seq slot the scalar path's ``engine.spawn`` start entry would,
-        so completion ties between concurrent transfers order identically
-        in both modes.  At that slot, a contention-free route is claimed
-        inline and completed by a single arrival timer; a contended route
+        The transfer is started by a zero-delay timer
+        (:meth:`_start_transfer`) that occupies exactly the seq slot an
+        ``engine.spawn`` start entry of the fallback would, so completion
+        ties between concurrent transfers order identically on both
+        paths.  At that slot, a contention-free route is claimed inline
+        and completed by a single arrival timer; a contended route
         *adopts* ``fallback_fn(*fallback_args)`` — the caller's recovery-
         capable transfer generator — running its first step immediately,
-        which is what the scalar engine would have been doing in that
+        which is what a spawned fallback would have been doing in that
         slot.  Returns ``False`` without side effects when the caller must
-        spawn the fallback itself: scalar engine, fault injection, or host
-        profiling (so the ``network`` bucket stays truthful).  Either way
-        the simulated timeline is bit-identical.
+        spawn the fallback itself: fault injection, or host profiling (so
+        the ``network`` bucket stays truthful).  Either way the simulated
+        timeline is identical.
         """
         engine = self.engine
-        if (
-            not engine.batch_enabled
-            or not self.batch_enabled
-            or self.faults.enabled
-            or PROFILER.enabled
-        ):
+        if self.faults.enabled or PROFILER.enabled:
             return False
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
@@ -258,7 +224,6 @@ class Network:
         engine = self.engine
         if src_node == dst_node:
             self.stats.network_messages += 1
-            self.batch_fast_transfers += 1
             self.timer_fast_transfers += 1
             dur = nbytes / self.config.intra_node_copy_bpns
             engine.call_after(
@@ -271,8 +236,8 @@ class Network:
         for r in resources:
             if r.in_use >= r.capacity or r._waiters:
                 # contended: run the caller's generator path from this very
-                # slot (no start entry, see Engine.adopt) — it re-walks the
-                # acquires exactly as the scalar engine would
+                # slot (no start entry, see Engine.adopt) — it walks the
+                # acquires exactly as a spawned fallback would
                 engine.adopt(fallback_fn(*fallback_args), name="net-xfer")
                 return
         self.stats.network_messages += 1
@@ -280,7 +245,6 @@ class Network:
         if self.link_bytes is not None:
             for i in link_idxs:
                 self.link_bytes[i] += nbytes
-        self.batch_fast_transfers += 1
         self.timer_fast_transfers += 1
         for r in resources:
             r.total_acquires += 1

@@ -14,17 +14,13 @@ reversed-order drains, P=128 halo exchanges).
 * an O(1) bucket lookup in a ``(src, tag) -> positions`` index when both
   the probe and every live entry carry concrete keys (the mailbox common
   case — out-of-order drains land here instead of scanning), and
-* a vectorised NumPy compare + ``argmax`` over the live slab when
-  wildcards are involved and the queue is deep, falling back to a plain
-  Python scan on shallow queues.
+* a plain scan in append order when wildcards are involved.
 
 Popped slots become holes (sentinel ``-2``, distinct from the ``-1``
 wildcard) and the dead prefix is trimmed lazily; index buckets keep stale
 positions until they surface and are skipped (``items[pos] is None``), so
-pops never pay a deque removal.  Matching *order* is byte-for-byte the
-list-scan order, so simulated time cannot depend on the switch;
-``batch=False`` (``config.derived["mpi_match_batch"] = "off"``) forces the
-scalar scan for the golden equivalence suite.
+pops never pay a deque removal.  Every route returns exactly the entry a
+FIFO first-match list scan would.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ import time
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sim.profile import PROFILER
 
 __all__ = ["MatchQueue", "ANY", "DEAD"]
@@ -42,19 +36,16 @@ __all__ = ["MatchQueue", "ANY", "DEAD"]
 ANY = -1   # wildcard source/tag (== mpi.ANY_SOURCE / mpi.ANY_TAG)
 DEAD = -2  # popped slot sentinel
 
-#: below this many live entries the plain Python scan beats NumPy setup
-_MIN_VECTOR = 32
-
 
 class MatchQueue:
     """FIFO queue with first-match retrieval on ``(source, tag)`` keys."""
 
     __slots__ = (
         "_items", "_src", "_tag", "_head", "_size", "_nwild", "_index",
-        "batch", "head_hits", "index_hits", "vector_scans", "scalar_scans",
+        "head_hits", "index_hits", "scans",
     )
 
-    def __init__(self, batch: bool = True):
+    def __init__(self):
         self._items: List[Any] = []
         self._src: List[int] = []
         self._tag: List[int] = []
@@ -65,11 +56,9 @@ class MatchQueue:
         # positions go stale when popped via another route and are skipped
         # lazily, so the deques never need mid-queue removal
         self._index: Dict[Tuple[int, int], deque] = {}
-        self.batch = batch
         self.head_hits = 0      # O(1) in-order matches
         self.index_hits = 0     # O(1) bucket-index matches
-        self.vector_scans = 0   # NumPy first-match scans
-        self.scalar_scans = 0   # Python-loop scans
+        self.scans = 0          # wildcard probes answered by a list scan
 
     # -- basics ---------------------------------------------------------------
 
@@ -89,17 +78,13 @@ class MatchQueue:
         self._size += 1
         if src == ANY or tag == ANY:
             self._nwild += 1
-        elif self.batch:
+        else:
             bucket = self._index.get((src, tag))
             if bucket is None:
                 self._index[(src, tag)] = bucket = deque()
             bucket.append(len(self._items) - 1)
 
     # -- first-match retrieval -------------------------------------------------
-
-    @staticmethod
-    def _compatible(a: int, b: int) -> bool:
-        return a == ANY or b == ANY or a == b
 
     def pop_first(self, src: int, tag: int) -> Optional[Any]:
         """Remove and return the first entry compatible with ``(src, tag)``."""
@@ -134,7 +119,7 @@ class MatchQueue:
         ):
             self.head_hits += 1
             return self._pop_at(h)
-        if self.batch and src != ANY and tag != ANY and self._nwild == 0:
+        if src != ANY and tag != ANY and self._nwild == 0:
             # concrete keys on both sides and no wildcard entries live: the
             # bucket's first live position IS the global first match, and an
             # empty bucket proves no entry is compatible
@@ -146,24 +131,17 @@ class MatchQueue:
                         self.index_hits += 1
                         return self._pop_at(pos)
             return None
-        if self.batch and self._size >= _MIN_VECTOR:
-            self.vector_scans += 1
-            s = np.fromiter(self._src[h:n], dtype=np.int64, count=n - h)
-            t = np.fromiter(self._tag[h:n], dtype=np.int64, count=n - h)
-            ms = (s != DEAD) if src == ANY else ((s == src) | (s == ANY))
-            mt = (t != DEAD) if tag == ANY else ((t == tag) | (t == ANY))
-            mask = ms & mt
-            i = int(mask.argmax())
-            if not mask[i]:
-                return None
-            return self._pop_at(h + i)
-        self.scalar_scans += 1
+        self.scans += 1
         srcs = self._src
         tags = self._tag
         for i in range(h + 1, n):
             if items[i] is None:
                 continue
-            if self._compatible(src, srcs[i]) and self._compatible(tag, tags[i]):
+            s = srcs[i]
+            t = tags[i]
+            if (src == ANY or s == ANY or src == s) and (
+                tag == ANY or t == ANY or tag == t
+            ):
                 return self._pop_at(i)
         return None
 

@@ -38,7 +38,7 @@ __all__ = [
     "profiled",
 ]
 
-#: Bucket the batched engine bills its own run-loop overhead into: delay-lane
+#: Bucket the engine bills its own run-loop overhead into: delay-lane
 #: merges, cohort pops, and request dispatch, *excluding* the host time spent
 #: inside process code (``gen.send``) — that belongs to whichever subsystem
 #: the process is executing.  See ``Engine._run_batched_profiled``.

@@ -91,6 +91,13 @@ class TestMachineGlue:
         with pytest.raises(RuntimeError):
             m.rank_finish_ns(0)
 
+    @pytest.mark.parametrize("key", ["engine_batch", "net_batch", "mpi_match_batch"])
+    def test_retired_switch_rejected_by_name(self, key):
+        """The switches of the removed scalar paths fail loudly, not silently."""
+        for value in ("on", "off"):
+            with pytest.raises(ValueError, match=rf"derived\['{key}'\].*removed"):
+                MachineConfig(nprocs=2, derived={key: value})
+
 
 class TestRegistry:
     def test_model_names(self):

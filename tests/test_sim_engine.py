@@ -4,6 +4,26 @@ import pytest
 
 from repro.sim import AllOf, AnyOf, Deadlock, Delay, Engine, SimError
 from repro.sim.engine import WaitEvent
+from repro.sim.profile import PROFILER
+
+
+@pytest.fixture
+def profiled(request):
+    """Run the test under the plain drain (False) or the profiled drain (True).
+
+    ``Engine.run`` takes a separate drain loop while the global profiler
+    is on; both must keep the same scheduling semantics.
+    """
+    on = request.param
+    was = PROFILER.enabled
+    if on:
+        PROFILER.enable()
+    else:
+        PROFILER.disable()
+    try:
+        yield on
+    finally:
+        PROFILER.enabled = was
 
 
 def test_delay_advances_time():
@@ -347,10 +367,10 @@ def test_schedule_rejects_non_finite_wake():
         eng._schedule(float("nan"), None, None)
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_boundary_is_inclusive(batch):
+@pytest.mark.parametrize("profiled", [False, True], indirect=True)
+def test_run_until_boundary_is_inclusive(profiled):
     """An event scheduled exactly at ``until`` fires; later ones stay queued."""
-    eng = Engine(batch=batch)
+    eng = Engine()
     fired = []
 
     def prog():
@@ -368,9 +388,9 @@ def test_run_until_boundary_is_inclusive(batch):
     assert eng.now == 15
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_advances_time_without_events(batch):
-    eng = Engine(batch=batch)
+@pytest.mark.parametrize("profiled", [False, True], indirect=True)
+def test_run_until_advances_time_without_events(profiled):
+    eng = Engine()
 
     def prog():
         yield Delay(100)
@@ -382,9 +402,9 @@ def test_run_until_advances_time_without_events(batch):
     assert eng.now == 100
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_in_the_past_is_a_noop(batch):
-    eng = Engine(batch=batch)
+@pytest.mark.parametrize("profiled", [False, True], indirect=True)
+def test_run_until_in_the_past_is_a_noop(profiled):
+    eng = Engine()
 
     def prog():
         yield Delay(20)
@@ -398,10 +418,10 @@ def test_run_until_in_the_past_is_a_noop(batch):
     assert proc.result == "ok"
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_run_until_never_refires_boundary_events(batch):
+@pytest.mark.parametrize("profiled", [False, True], indirect=True)
+def test_run_until_never_refires_boundary_events(profiled):
     """Events at the boundary fire exactly once across successive runs."""
-    eng = Engine(batch=batch)
+    eng = Engine()
     hits = []
 
     def prog():
@@ -413,19 +433,6 @@ def test_run_until_never_refires_boundary_events(batch):
     eng.run(until=10)
     eng.run()
     assert hits == [1]
-
-
-def test_hop_requires_batched_engine():
-    from repro.sim.engine import Hop
-
-    eng = Engine(batch=False)
-
-    def prog():
-        yield Hop(5.0, lambda proc: None, ())
-
-    eng.spawn(prog())
-    with pytest.raises(SimError, match="batch_enabled"):
-        eng.run()
 
 
 def test_hop_rejects_bad_delay():
@@ -440,7 +447,7 @@ def test_hop_rejects_bad_delay():
 def test_hop_runs_callback_and_callback_resumes_process():
     from repro.sim.engine import Hop
 
-    eng = Engine(batch=True)
+    eng = Engine()
     log = []
 
     def leg(proc, tag):
@@ -456,14 +463,8 @@ def test_hop_runs_callback_and_callback_resumes_process():
     assert log == [("hop", 5.0), ("resumed", 8.0)]
 
 
-def test_call_after_requires_batched_engine():
-    eng = Engine(batch=False)
-    with pytest.raises(SimError, match="batched engine"):
-        eng.call_after(1.0, lambda: None)
-
-
 def test_call_after_interleaves_fifo_with_process_wakes():
-    eng = Engine(batch=True)
+    eng = Engine()
     order = []
 
     def prog(tag):
@@ -481,7 +482,7 @@ def test_call_after_interleaves_fifo_with_process_wakes():
 
 
 def test_adopt_runs_first_step_immediately():
-    eng = Engine(batch=True)
+    eng = Engine()
     steps = []
 
     def adoptee():
@@ -505,7 +506,11 @@ def test_adopt_runs_first_step_immediately():
 
 
 def test_batched_and_scalar_timelines_identical():
-    """The same process soup produces the same (now, order) under both loops."""
+    """A process soup drains in the (now, order) recorded from the scalar loop.
+
+    The literal below is what the one-event-at-a-time heap loop produced
+    before it was removed; the cohort drain must keep reproducing it.
+    """
 
     def workload(eng, order, tag, delays):
         def prog():
@@ -515,19 +520,20 @@ def test_batched_and_scalar_timelines_identical():
 
         return prog()
 
-    results = {}
-    for batch in (True, False):
-        eng = Engine(batch=batch)
-        order = []
-        for tag, delays in (("a", [3, 0, 4]), ("b", [3, 4]), ("c", [7, 0, 0])):
-            eng.spawn(workload(eng, order, tag, delays))
-        eng.run()
-        results[batch] = (eng.now, order)
-    assert results[True] == results[False]
+    eng = Engine()
+    order = []
+    for tag, delays in (("a", [3, 0, 4]), ("b", [3, 4]), ("c", [7, 0, 0])):
+        eng.spawn(workload(eng, order, tag, delays))
+    eng.run()
+    assert (eng.now, order) == (
+        7.0,
+        [("a", 3.0), ("b", 3.0), ("a", 3.0), ("c", 7.0),
+         ("b", 7.0), ("a", 7.0), ("c", 7.0), ("c", 7.0)],
+    )
 
 
 def test_engine_counters_report_batched_activity():
-    eng = Engine(batch=True)
+    eng = Engine()
 
     def prog():
         yield Delay(1)
@@ -536,7 +542,6 @@ def test_engine_counters_report_batched_activity():
     eng.spawn(prog())
     eng.run()
     c = eng.counters()
-    assert c["batch"] is True
     assert c["events"] > 0
     assert c["zero_lane_hits"] >= 1
 
@@ -544,10 +549,10 @@ def test_engine_counters_report_batched_activity():
 # -- PR 6: AnyOf losing watchers under the cohort drain -----------------------
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_any_of_late_loser_does_not_resurrect_process(batch):
+@pytest.mark.parametrize("profiled", [False, True], indirect=True)
+def test_any_of_late_loser_does_not_resurrect_process(profiled):
     """A losing event firing *after* the race must not resume the racer."""
-    eng = Engine(batch=batch)
+    eng = Engine()
     winner = eng.event("winner")
     loser = eng.event("loser")
     resumes = []
@@ -572,11 +577,11 @@ def test_any_of_late_loser_does_not_resurrect_process(batch):
     assert resumes == [(0, "w", 1.0), ("after", 11.0)]
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_any_of_same_instant_cohort_picks_lowest_index(batch):
+@pytest.mark.parametrize("profiled", [False, True], indirect=True)
+def test_any_of_same_instant_cohort_picks_lowest_index(profiled):
     """Two events firing in one same-timestamp cohort: first fire wins,
     and the loser's watcher dies without a second resume."""
-    eng = Engine(batch=batch)
+    eng = Engine()
     evs = [eng.event(f"e{i}") for i in range(2)]
 
     def firer(i):
@@ -595,10 +600,10 @@ def test_any_of_same_instant_cohort_picks_lowest_index(batch):
     assert proc.result == (0, "v0", 5.0)
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_nested_any_of_inside_all_of_under_cohort_drain(batch):
+@pytest.mark.parametrize("profiled", [False, True], indirect=True)
+def test_nested_any_of_inside_all_of_under_cohort_drain(profiled):
     """AllOf over end-events of AnyOf racers, all deciding in one cohort."""
-    eng = Engine(batch=batch)
+    eng = Engine()
     n = 4
     winners = [eng.event(f"w{i}") for i in range(n)]
     losers = [eng.event(f"l{i}") for i in range(n)]
