@@ -1,4 +1,10 @@
-"""Weighted undirected graph in CSR form, built from the mesh dual."""
+"""Weighted undirected graph in CSR form, built from the mesh dual.
+
+A :class:`Graph` is four arrays: ``xadj`` (row offsets), ``adjncy``
+(neighbour ids, each row sorted for mesh duals), ``vwgt`` and ``ewgt``,
+plus optional per-vertex coordinates.  Induced subgraphs and mesh duals
+are built with array indexing; rows keep their neighbour order.
+"""
 
 from __future__ import annotations
 
@@ -66,20 +72,26 @@ class Graph:
     def subgraph(self, vertices: np.ndarray) -> Tuple["Graph", np.ndarray]:
         """Induced subgraph; returns (graph, original-ids of its vertices)."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        remap = {int(v): i for i, v in enumerate(vertices)}
-        xadj = [0]
-        adjncy: List[int] = []
-        ewgt: List[float] = []
-        for v in vertices:
-            for u, w in zip(self.neighbors(v), self.neighbor_weights(v)):
-                j = remap.get(int(u))
-                if j is not None:
-                    adjncy.append(j)
-                    ewgt.append(float(w))
-            xadj.append(len(adjncy))
+        n, k = self.num_vertices, len(vertices)
+        if k and (vertices.min() < 0 or vertices.max() >= n):
+            raise ValueError(f"subgraph: vertex ids must lie in [0, {n})")
+        local = np.full(n, -1, dtype=np.int64)
+        local[vertices] = np.arange(k)
+        clash = np.flatnonzero(local[vertices] != np.arange(k))
+        if len(clash):
+            raise ValueError(f"subgraph: vertex id {int(vertices[clash[0]])} appears more than once")
+        # CSR positions of the kept vertices' adjacency runs, in vertex order
+        starts = self.xadj[vertices]
+        degree = self.xadj[vertices + 1] - starts
+        row = np.repeat(np.arange(k), degree)
+        pos = np.repeat(starts - (np.cumsum(degree) - degree), degree) + np.arange(len(row))
+        nbr = local[self.adjncy[pos]]
+        inside = nbr >= 0
+        xadj = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[inside], minlength=k), out=xadj[1:])
         coords = None if self.coords is None else self.coords[vertices]
         return (
-            Graph(np.asarray(xadj), np.asarray(adjncy), self.vwgt[vertices], np.asarray(ewgt), coords),
+            Graph(xadj, nbr[inside], self.vwgt[vertices], self.ewgt[pos[inside]], coords),
             vertices,
         )
 
@@ -105,15 +117,15 @@ def mesh_dual_graph(mesh: TriMesh, weights: Optional[Dict[int, float]] = None) -
     from repro.mesh.dual import dual_graph
 
     tids, adj = dual_graph(mesh)
+    # ``tids`` ascends and each ``adj[t]`` is sorted, so relabelled rows stay sorted
     index = {t: i for i, t in enumerate(tids)}
+    xadj = np.zeros(len(tids) + 1, dtype=np.int64)
+    np.cumsum([len(adj[t]) for t in tids], out=xadj[1:])
+    adjncy = np.array([index[u] for t in tids for u in adj[t]], dtype=np.int64)
     verts = mesh.verts_array()
-    coords = np.zeros((len(tids), verts.shape[1]))
-    vwgt = np.ones(len(tids))
-    relabelled: Dict[int, List[int]] = {}
-    for i, t in enumerate(tids):
-        relabelled[i] = sorted(index[u] for u in adj[t])
-        tri = mesh.tri_verts(t)
-        coords[i] = verts[list(tri)].mean(axis=0)
-        if weights is not None:
-            vwgt[i] = weights.get(t, 1.0)
-    return Graph.from_adjacency(relabelled, vwgt=vwgt, coords=coords), tids
+    if tids:
+        coords = verts[np.array([mesh.tri_verts(t) for t in tids])].mean(axis=1)
+    else:
+        coords = np.zeros((0, verts.shape[1]))
+    vwgt = None if weights is None else np.array([weights.get(t, 1.0) for t in tids], dtype=np.float64)
+    return Graph(xadj, adjncy, vwgt=vwgt, coords=coords), tids

@@ -4,6 +4,9 @@ Each bisection splits at the weighted median of the second-smallest
 Laplacian eigenvector.  Disconnected subgraphs are handled by peeling
 components first (a disconnected Laplacian has a degenerate Fiedler
 vector).  Slow but high-quality — the classic contrast to RCB.
+
+``scipy.sparse`` is imported on first use, so importing the partition
+package (and every app that uses it) does not pay for it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.partition.graph import Graph
 from repro.sim.profile import PROFILER
@@ -20,7 +21,10 @@ from repro.sim.profile import PROFILER
 __all__ = ["spectral", "fiedler_vector"]
 
 
-def _laplacian(graph: Graph) -> sp.csr_matrix:
+def _laplacian(graph: Graph):
+    """Weighted graph Laplacian as a ``scipy.sparse`` matrix."""
+    import scipy.sparse as sp
+
     n = graph.num_vertices
     rows, cols, vals = [], [], []
     for v in range(n):
@@ -35,6 +39,8 @@ def _laplacian(graph: Graph) -> sp.csr_matrix:
 
 def fiedler_vector(graph: Graph, seed: int = 7) -> np.ndarray:
     """Second-smallest eigenvector of the graph Laplacian."""
+    import scipy.sparse.linalg as spla
+
     n = graph.num_vertices
     if n < 3:
         return np.arange(n, dtype=np.float64)

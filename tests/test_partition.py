@@ -1,5 +1,9 @@
 """Tests for the partitioning substrate: graph, RCB, spectral, multilevel."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +53,29 @@ class TestGraph:
         assert sub.num_vertices == 3
         assert sub.num_edges == 2  # 1-2, 2-3 survive; 0-1 and 3-4 cut
         assert list(orig) == [1, 2, 3]
+
+    def test_subgraph_keeps_order_and_weights(self):
+        adj = {0: [1, 2], 1: [0, 2], 2: [0, 1, 3], 3: [2]}
+        g = Graph.from_adjacency(adj, vwgt=np.array([1.0, 2.0, 3.0, 4.0]))
+        g.ewgt[:] = np.arange(1.0, len(g.ewgt) + 1)
+        sub, orig = g.subgraph(np.array([3, 2, 0]))
+        assert list(orig) == [3, 2, 0]
+        assert list(sub.xadj) == [0, 1, 3, 4]
+        assert list(sub.adjncy) == [1, 2, 0, 1]
+        assert list(sub.ewgt) == [8.0, 5.0, 7.0, 2.0]
+        assert list(sub.vwgt) == [4.0, 3.0, 1.0]
+
+    def test_subgraph_rejects_duplicate_ids(self):
+        g = path_graph(6)
+        with pytest.raises(ValueError, match="vertex id 2 appears more than once"):
+            g.subgraph(np.array([1, 2, 3, 2]))
+
+    def test_subgraph_rejects_out_of_range_ids(self):
+        g = path_graph(6)
+        with pytest.raises(ValueError, match="must lie in"):
+            g.subgraph(np.array([0, 6]))
+        with pytest.raises(ValueError, match="must lie in"):
+            g.subgraph(np.array([-1, 2]))
 
     def test_mesh_dual_graph_coords(self):
         m = structured_mesh(3)
@@ -140,6 +167,23 @@ class TestRcb:
 
 
 class TestSpectral:
+    def test_importing_adapt_leaves_scipy_sparse_unloaded(self):
+        """scipy.sparse is imported on first spectral call, not by the apps."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        code = (
+            "import sys, repro.apps.adapt; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_cut_quality_on_grid(self):
         m = structured_mesh(6)
         g, _ = mesh_dual_graph(m)
@@ -170,6 +214,11 @@ class TestMultilevelInternals:
         assert coarse.total_weight() == g.total_weight()
         assert coarse.num_vertices < g.num_vertices
         assert len(cmap) == g.num_vertices
+
+    def test_coarsening_rejects_asymmetric_match(self):
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="symmetric matching"):
+            coarsen_graph(g, np.array([1, 2, 1, 3]))
 
     def test_fm_improves_or_keeps_cut(self):
         m = structured_mesh(6)
