@@ -42,7 +42,19 @@ def test_t3_shape(t3_rows):
 def test_t3_benchmark(benchmark):
     from pathlib import Path
 
+    from repro.apps.adapt import ADAPT_PROGRAMS
+    from repro.apps.jacobi import JACOBI_PROGRAMS
+    from repro.apps.nbody import NBODY_PROGRAMS
+
     apps = Path(__file__).resolve().parent.parent / "src" / "repro" / "apps"
     files = sorted(apps.rglob("*_app.py"))
-    assert len(files) == 10  # 3 apps x 3 models + hybrid jacobi
+    # one <model>_app.py per registered (app, model) program
+    expected = {
+        (app, f"{model}_app.py")
+        for app, programs in (
+            ("adapt", ADAPT_PROGRAMS), ("nbody", NBODY_PROGRAMS), ("jacobi", JACOBI_PROGRAMS),
+        )
+        for model in programs
+    }
+    assert {(f.parent.name, f.name) for f in files} == expected
     benchmark(lambda: [count_loc(f) for f in files])

@@ -19,8 +19,9 @@ Commands
 ``describe`` the simulated machine for a given processor count
 ``paper``   regenerate every experiment table/figure (R-F*/R-T*)
 
-``run --profile`` enables the wall-clock profiler and prints a host-time
-breakdown by simulator subsystem after the run.  ``run --trace [PATH]``
+``run --profile`` samples the run's host CPU time (a 1 ms ``SIGPROF``
+stack sampler) and prints samples, shares and estimated seconds per
+simulator layer after the run.  ``run --trace [PATH]``
 records structured communication events (simulated time is bit-identical
 with tracing on or off) and optionally exports them; ``--check-sync``
 runs the trace-based synchronization checker on the event stream.
@@ -45,6 +46,7 @@ results are served.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.harness import ascii_chart, effort_table, format_table, run_app, sweep
@@ -249,10 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         wl = _resolve_scenario(args.scenario)
     else:
         wl = _workload(app, args.size)
-    if args.profile:
-        from repro.harness.profile import PROFILER
-
-        PROFILER.reset().enable()
+    sampler = _layer_sampler() if args.profile else contextlib.nullcontext()
     traced = bool(args.trace) or args.check_sync
     faults = None
     if args.faults:
@@ -263,11 +262,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.link_stats:
         derived["link_stats"] = "on"
     store = _store_from_args(args, default_on=False)
-    result = run_app(
-        app, model, args.nprocs, wl, placement=args.placement, trace=traced,
-        faults=faults, derived=derived or None, store=store,
-        machine_profile=args.machine_profile,
-    )
+    with sampler:
+        result = run_app(
+            app, model, args.nprocs, wl, placement=args.placement, trace=traced,
+            faults=faults, derived=derived or None, store=store,
+            machine_profile=args.machine_profile,
+        )
     agg = aggregate_breakdown(result)
     what = f"scenario {wl.name}" if app == "scenario" else f"{args.size} workload"
     if args.machine_profile:
@@ -309,13 +309,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("per-link contention (hottest first):")
         print(format_link_contention(links))
     if args.profile:
-        from repro.harness.profile import PROFILER
-
-        PROFILER.disable()
         print()
-        print(PROFILER.report())
+        print(sampler.report())
     _print_store_report(store)
     return rc
+
+
+def _layer_sampler():
+    """The ``--profile`` sampler, or a clear exit where SIGPROF is missing."""
+    from repro.harness.profile import LayerSampler
+
+    try:
+        return LayerSampler()
+    except RuntimeError as exc:
+        raise SystemExit(f"error: --profile: {exc}") from None
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -976,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", "--size", choices=("small", "medium", "large"), default="medium")
     p.add_argument("--placement", default="first-touch")
     p.add_argument("--profile", action="store_true",
-                   help="measure host time per simulator subsystem")
+                   help="sample host CPU time per simulator layer (1 ms SIGPROF)")
     p.add_argument("--trace", nargs="?", const=True, default=None, metavar="PATH",
                    help="record communication events; with PATH, export them "
                         "(.jsonl => JSONL, otherwise Perfetto trace_event JSON)")

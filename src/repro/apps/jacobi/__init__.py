@@ -10,8 +10,14 @@ from repro.apps.jacobi.common import JacobiConfig, reference_checksum
 from repro.apps.jacobi.mpi_app import jacobi_mpi
 from repro.apps.jacobi.shmem_app import jacobi_shmem
 from repro.apps.jacobi.sas_app import jacobi_sas
+from repro.apps.jacobi.hybrid_app import jacobi_hybrid
 
-JACOBI_PROGRAMS = {"mpi": jacobi_mpi, "shmem": jacobi_shmem, "sas": jacobi_sas}
+JACOBI_PROGRAMS = {
+    "mpi": jacobi_mpi,
+    "shmem": jacobi_shmem,
+    "sas": jacobi_sas,
+    "hybrid": jacobi_hybrid,
+}
 
 __all__ = [
     "JacobiConfig",
@@ -19,5 +25,6 @@ __all__ = [
     "jacobi_mpi",
     "jacobi_shmem",
     "jacobi_sas",
+    "jacobi_hybrid",
     "JACOBI_PROGRAMS",
 ]

@@ -1,11 +1,15 @@
-"""Host-time profiling harness and the SAS memory-pipeline microbenchmark.
+"""Host-time profiling: the layer sampler and the SAS memory-pipeline microbench.
 
 Two concerns live here:
 
-* the public face of the wall-clock profiler (:data:`PROFILER`,
-  :func:`profile_section` — the implementation is in
-  :mod:`repro.sim.profile` so the machine layer can import it without a
-  package cycle), and
+* :class:`LayerSampler`, the stack sampler behind ``run --profile``.  A
+  ``SIGPROF`` timer asks for a signal every :data:`SAMPLE_INTERVAL_S` of
+  process CPU time; each signal charges one sample, and the CPU time
+  since the previous one, to the layer of the innermost frame that runs
+  ``repro`` code (:data:`LAYERS`).  Nothing in the simulator knows it is
+  being sampled, so a sampled run takes exactly the code path of an
+  unsampled one.  A sampler cannot count calls, so the report gives
+  samples, shares and estimated seconds only.
 * :func:`run_sas_microbench`, the line-touch microbenchmark that measures
   the *host-time* throughput of the CC-SAS cache/directory pipeline with
   the batched fast path on vs. off, checks the two runs are bit-identical
@@ -18,23 +22,143 @@ only how many host seconds they take to produce.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import signal
 import time
 from typing import Any, Dict, Generator, Optional
 
 import numpy as np
 
+import repro
 from repro.machine.config import MachineConfig
 from repro.models.registry import run_program
-from repro.sim.profile import PROFILER, Profiler, profile_section
 
 __all__ = [
-    "PROFILER",
-    "Profiler",
-    "profile_section",
+    "LAYERS",
+    "LayerSampler",
+    "SAMPLE_INTERVAL_S",
+    "frame_layer",
+    "layer_of",
     "run_sas_microbench",
     "write_bench_json",
 ]
+
+#: Sampling interval of :class:`LayerSampler`, in seconds of process CPU time.
+SAMPLE_INTERVAL_S = 0.001
+
+#: Ordered ``(path prefix under repro/, layer)`` table; the first match wins,
+#: and a ``repro`` file no prefix matches belongs to ``harness``.
+LAYERS = (
+    ("sim/", "engine"),
+    ("machine/network", "network"),
+    ("machine/directory", "directory"),
+    ("machine/cache", "cache"),
+    ("models/mpi/matchq", "mpi-match"),
+    ("models/", "runtime"),
+    ("apps/", "app"),
+    ("mesh/", "mesh"),
+    ("partition/", "partition"),
+    ("plum/", "plum"),
+    ("solver/", "solver"),
+    ("faults/", "faults"),
+    ("obs/", "obs"),
+    ("machine/", "machine"),
+)
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+def layer_of(relpath: str) -> str:
+    """Layer of a file, given its path relative to the ``repro`` package."""
+    for prefix, layer in LAYERS:
+        if relpath.startswith(prefix):
+            return layer
+    return "harness"
+
+
+@functools.lru_cache(maxsize=4096)
+def _file_layer(filename: str) -> Optional[str]:
+    """Layer of a code object's file, or ``None`` outside the package."""
+    path = os.path.abspath(filename)
+    return layer_of(path[len(_PACKAGE_DIR):]) if path.startswith(_PACKAGE_DIR) else None
+
+
+def frame_layer(frame) -> str:
+    """Layer of the innermost ``repro`` frame on ``frame``'s stack, else ``other``."""
+    while frame is not None:
+        layer = _file_layer(frame.f_code.co_filename)
+        if layer is not None:
+            return layer
+        frame = frame.f_back
+    return "other"
+
+
+class LayerSampler:
+    """``SIGPROF`` stack sampler counting host CPU time per layer.
+
+    ``counts`` holds samples per layer.  ``seconds`` charges each sample
+    the process CPU time since the previous one: the kernel delivers
+    ``SIGPROF`` at most once per scheduler tick (often 4 ms, not the
+    requested 1 ms), and Python runs the handler only after a long C call
+    returns, so a sample can stand for more than one interval.  The
+    frame the handler sees then is the Python caller of that C call,
+    which is where its time belongs.
+
+    Use as a context manager around the code to measure; on exit (also
+    by an exception) the previous ``SIGPROF`` handler and interval timer
+    come back.  Needs ``signal.setitimer`` and the main thread; the
+    constructor raises ``RuntimeError`` on a platform without it.
+    """
+
+    def __init__(self) -> None:
+        if not hasattr(signal, "setitimer") or not hasattr(signal, "SIGPROF"):
+            raise RuntimeError(
+                "host-time sampling needs signal.setitimer and SIGPROF, "
+                "which this platform does not provide"
+            )
+        self.counts: Dict[str, int] = {}
+        self.seconds: Dict[str, float] = {}
+        self._last = 0.0
+        self._saved = None
+
+    def _on_sample(self, signum, frame) -> None:
+        now = time.process_time()
+        layer = frame_layer(frame)
+        self.counts[layer] = self.counts.get(layer, 0) + 1
+        self.seconds[layer] = self.seconds.get(layer, 0.0) + (now - self._last)
+        self._last = now
+
+    def __enter__(self) -> "LayerSampler":
+        self._last = time.process_time()
+        handler = signal.signal(signal.SIGPROF, self._on_sample)
+        timer = signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+        self._saved = (handler, timer)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        handler, timer = self._saved
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(signal.SIGPROF, handler)
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def report(self, title: str = "host-time profile") -> str:
+        """Samples, share and estimated CPU seconds per layer, busiest first."""
+        total_s = sum(self.seconds.values())
+        lines = [
+            f"{title}: SIGPROF samples, each charged the CPU time since the last",
+            f"  {'layer':<12} {'samples':>8} {'%':>6} {'est. s':>8}",
+        ]
+        for layer, secs in sorted(self.seconds.items(), key=lambda kv: (-kv[1], kv[0])):
+            share = 100 * secs / total_s if total_s else 0.0
+            lines.append(f"  {layer:<12} {self.counts[layer]:>8} {share:>5.1f}% {secs:>8.3f}")
+        lines.append(f"  {'total':<12} {self.total:>8} {'':>6} {total_s:>8.3f}")
+        return "\n".join(lines)
+
 
 BENCH_FILENAME = "BENCH_SAS.json"
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.harness.scenariobench import find_flips
+
 __all__ = [
     "BENCH_PROFILES_FILENAME",
     "DEFAULT_PROFILES",
@@ -40,42 +42,6 @@ Cell = Tuple[str, int]  # (profile, nprocs)
 
 def _cell_key(profile: str, nprocs: int) -> str:
     return f"{profile}/P{nprocs}"
-
-
-def _flip(axis: str, fixed: Dict[str, Any], frm, to, r1: Sequence[str], r2: Sequence[str]) -> Dict[str, Any]:
-    return {
-        "axis": axis,
-        "fixed": fixed,
-        "from_setting": frm,
-        "to_setting": to,
-        "from_ranking": list(r1),
-        "to_ranking": list(r2),
-        "best_changed": r1[0] != r2[0],
-    }
-
-
-def _find_flips(
-    ranks: Dict[Cell, List[str]],
-    profiles: Sequence[str],
-    nprocs_list: Sequence[int],
-) -> List[Dict[str, Any]]:
-    """Adjacent-setting ranking changes along both sweep axes."""
-    flips: List[Dict[str, Any]] = []
-    for profile in profiles:
-        for a, b in zip(nprocs_list, nprocs_list[1:]):
-            r1, r2 = ranks[(profile, a)], ranks[(profile, b)]
-            if r1 != r2:
-                flips.append(_flip(
-                    "nprocs", {"machine_profile": profile}, a, b, r1, r2,
-                ))
-    for n in nprocs_list:
-        for a, b in zip(profiles, profiles[1:]):
-            r1, r2 = ranks[(a, n)], ranks[(b, n)]
-            if r1 != r2:
-                flips.append(_flip(
-                    "machine_profile", {"nprocs": n}, a, b, r1, r2,
-                ))
-    return flips
 
 
 def run_profile_bench(
@@ -167,7 +133,7 @@ def run_profile_bench(
             ordered = sorted(models, key=lambda m: times[m])
             ranking[_cell_key(profile, n)] = ordered
             ranks[(profile, n)] = ordered
-    flips = _find_flips(ranks, profiles, nprocs_list)
+    flips = find_flips(ranks, [("machine_profile", profiles), ("nprocs", nprocs_list)])
     best_flips = [f for f in flips if f["best_changed"]]
     from repro.machine.profiles import PROFILES
 

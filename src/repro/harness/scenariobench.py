@@ -20,12 +20,14 @@ report.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BENCH_SCENARIOS_FILENAME",
     "DEFAULT_CLASSES",
+    "find_flips",
     "run_scenario_bench",
     "format_scenario_bench",
     "write_scenario_bench_json",
@@ -51,56 +53,35 @@ def _cell_key(cls: str, intensity: float, nprocs: int) -> str:
     return f"{cls}/{_variant(intensity)}/P{nprocs}"
 
 
-def _flip(axis: str, fixed: Dict[str, Any], frm, to, r1: Sequence[str], r2: Sequence[str]) -> Dict[str, Any]:
-    return {
-        "axis": axis,
-        "fixed": fixed,
-        "from_setting": frm,
-        "to_setting": to,
-        "from_ranking": list(r1),
-        "to_ranking": list(r2),
-        "best_changed": r1[0] != r2[0],
-    }
-
-
-def _find_flips(
-    ranks: Dict[Cell, List[str]],
-    classes: Sequence[str],
-    intensities: Sequence[float],
-    nprocs_list: Sequence[int],
+def find_flips(
+    ranks: Dict[Tuple, List[str]], axes: Sequence[Tuple[str, Sequence[Any]]]
 ) -> List[Dict[str, Any]]:
-    """Adjacent-setting ranking changes along every sweep axis."""
+    """Adjacent-setting ranking changes along every sweep axis.
+
+    ``ranks`` maps a cell — one setting per axis, in ``axes`` order — to
+    its model ranking; ``axes`` lists ``(axis name, settings)``.  Axes are
+    walked last to first.  Along each, the other axes' settings run in
+    ``axes`` order (the first one slowest), and every flip's ``fixed``
+    dict names them in that order.
+    """
     flips: List[Dict[str, Any]] = []
-    for cls in classes:
-        for inten in intensities:
-            for a, b in zip(nprocs_list, nprocs_list[1:]):
-                r1, r2 = ranks[(cls, inten, a)], ranks[(cls, inten, b)]
+    for k in reversed(range(len(axes))):
+        axis, values = axes[k]
+        others = axes[:k] + axes[k + 1:]
+        for fixed in itertools.product(*(settings for _, settings in others)):
+            for a, b in zip(values, values[1:]):
+                r1 = ranks[fixed[:k] + (a,) + fixed[k:]]
+                r2 = ranks[fixed[:k] + (b,) + fixed[k:]]
                 if r1 != r2:
-                    flips.append(_flip(
-                        "nprocs",
-                        {"scenario_class": cls, "intensity": inten},
-                        a, b, r1, r2,
-                    ))
-    for cls in classes:
-        for n in nprocs_list:
-            for a, b in zip(intensities, intensities[1:]):
-                r1, r2 = ranks[(cls, a, n)], ranks[(cls, b, n)]
-                if r1 != r2:
-                    flips.append(_flip(
-                        "intensity",
-                        {"scenario_class": cls, "nprocs": n},
-                        a, b, r1, r2,
-                    ))
-    for inten in intensities:
-        for n in nprocs_list:
-            for a, b in zip(classes, classes[1:]):
-                r1, r2 = ranks[(a, inten, n)], ranks[(b, inten, n)]
-                if r1 != r2:
-                    flips.append(_flip(
-                        "scenario_class",
-                        {"intensity": inten, "nprocs": n},
-                        a, b, r1, r2,
-                    ))
+                    flips.append({
+                        "axis": axis,
+                        "fixed": {name: v for (name, _), v in zip(others, fixed)},
+                        "from_setting": a,
+                        "to_setting": b,
+                        "from_ranking": list(r1),
+                        "to_ranking": list(r2),
+                        "best_changed": r1[0] != r2[0],
+                    })
     return flips
 
 
@@ -225,7 +206,10 @@ def run_scenario_bench(
                 ordered = sorted(models, key=lambda m: times[m])
                 ranking[_cell_key(cls, inten, n)] = ordered
                 ranks[(cls, inten, n)] = ordered
-    flips = _find_flips(ranks, classes, intensities, nprocs_list)
+    flips = find_flips(
+        ranks,
+        [("scenario_class", classes), ("intensity", intensities), ("nprocs", nprocs_list)],
+    )
     best_flips = [f for f in flips if f["best_changed"]]
     return {
         "benchmark": "scenario-sweep",

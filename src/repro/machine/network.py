@@ -35,7 +35,6 @@ from repro.machine.stats import MachineStats
 from repro.machine.topology import Topology
 from repro.obs.events import EventLog
 from repro.sim.engine import Delay, Engine
-from repro.sim.profile import PROFILER, profile_generator
 from repro.sim.resources import Resource
 
 __all__ = ["Network"]
@@ -115,13 +114,6 @@ class Network:
         the fault plane disabled it always returns ``True`` and is
         bit-identical to the fault-free model.
         """
-        if PROFILER.enabled:
-            return profile_generator(
-                "network", self._transfer(src_node, dst_node, nbytes)
-            )
-        return self._transfer(src_node, dst_node, nbytes)
-
-    def _transfer(self, src_node: int, dst_node: int, nbytes: int) -> Generator:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         self.stats.network_messages += 1
@@ -201,12 +193,11 @@ class Network:
         capable transfer generator — running its first step immediately,
         which is what a spawned fallback would have been doing in that
         slot.  Returns ``False`` without side effects when the caller must
-        spawn the fallback itself: fault injection, or host profiling (so
-        the ``network`` bucket stays truthful).  Either way the simulated
-        timeline is identical.
+        spawn the fallback itself, which is the case only with fault
+        injection on.  Either way the simulated timeline is identical.
         """
         engine = self.engine
-        if self.faults.enabled or PROFILER.enabled:
+        if self.faults.enabled:
             return False
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")

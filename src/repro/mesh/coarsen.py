@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.mesh.mesh2d import TriMesh
-from repro.sim.profile import profiled
 
 __all__ = ["CoarseningReport", "coarsen"]
 
@@ -34,7 +33,6 @@ class CoarseningReport:
     families: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
 
-@profiled("mesh")
 def coarsen(mesh: TriMesh, candidates: Set[int]) -> CoarseningReport:
     """Coarsen every family whose children are all in ``candidates``.
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.mesh.mesh2d import EdgeKey, TriMesh, edge_key
-from repro.sim.profile import profiled
 
 __all__ = [
     "RefinementReport",
@@ -80,7 +79,6 @@ def close_marks(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") ->
     return marked
 
 
-@profiled("mesh")
 def refine(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> RefinementReport:
     """Subdivide every alive triangle touched by closed marks ``marked``.
 
@@ -154,7 +152,6 @@ def refine(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> Refi
     return report
 
 
-@profiled("mesh")
 def dissolve_green_families(mesh: TriMesh) -> Dict[int, Tuple[int, ...]]:
     """Undo every 1:2 ("green") split, reviving the parents.
 
@@ -208,7 +205,6 @@ def hanging_edge_marks(mesh: TriMesh) -> Set[EdgeKey]:
     return marks
 
 
-@profiled("mesh")
 def refine_cascade(mesh: TriMesh, marked: Set[EdgeKey], mode: str = "red-green") -> RefinementReport:
     """Refine until no alive triangle holds a whole marked edge.
 

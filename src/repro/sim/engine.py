@@ -607,11 +607,6 @@ class Engine:
 
     def _run_batched(self, until: Optional[float]) -> None:
         """Cohort drain: zero lane first, then whole same-timestamp cohorts."""
-        from repro.sim.profile import PROFILER
-
-        if PROFILER.enabled:
-            self._run_batched_profiled(until)
-            return
         zero = self._zero
         lane = self._lane
         lheap = lane._heap
@@ -699,63 +694,6 @@ class Engine:
             self.zero_lane_hits += zero_hits
             self.cohorts_drained += cohorts
             self.max_cohort = max_cohort
-
-    def _run_batched_profiled(self, until: Optional[float]) -> None:
-        """The batched drain with host time billed to ``engine-dispatch``.
-
-        Bills the engine's own bookkeeping — lane merges, cohort pops,
-        dispatch — to the :data:`repro.sim.profile.ENGINE_DISPATCH`
-        bucket by subtracting the time spent inside process code
-        (``gen.send`` and callbacks) from the loop total.
-        """
-        from time import perf_counter
-
-        from repro.sim.profile import ENGINE_DISPATCH, PROFILER
-
-        zero = self._zero
-        lane = self._lane
-        overhead = 0.0
-        events = 0
-        t_mark = perf_counter()
-        try:
-            while True:
-                while zero:
-                    proc, value = zero.popleft()
-                    self.zero_lane_hits += 1
-                    events += 1
-                    t0 = perf_counter()
-                    overhead += t0 - t_mark
-                    if proc is None:
-                        fn, args = value
-                        fn(*args)
-                    else:
-                        self._step(proc, value)
-                    t_mark = perf_counter()
-                nxt = lane.peek()
-                if nxt is None:
-                    return
-                t = nxt[0]
-                if until is not None and t > until:
-                    self.now = until
-                    return
-                self.now = t
-                cohort = lane.pop_time(t)
-                self.cohorts_drained += 1
-                if len(cohort) > self.max_cohort:
-                    self.max_cohort = len(cohort)
-                for proc, value in cohort:
-                    events += 1
-                    t0 = perf_counter()
-                    overhead += t0 - t_mark
-                    if proc is None:
-                        fn, args = value
-                        fn(*args)
-                    else:
-                        self._step(proc, value)
-                    t_mark = perf_counter()
-        finally:
-            overhead += perf_counter() - t_mark
-            PROFILER.add(ENGINE_DISPATCH, overhead, calls=events)
 
     # -- introspection ---------------------------------------------------------
 

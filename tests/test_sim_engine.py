@@ -4,26 +4,20 @@ import pytest
 
 from repro.sim import AllOf, AnyOf, Deadlock, Delay, Engine, SimError
 from repro.sim.engine import WaitEvent
-from repro.sim.profile import PROFILER
+from repro.sim.engine import _DelayLane
 
 
 @pytest.fixture
-def profiled(request):
-    """Run the test under the plain drain (False) or the profiled drain (True).
+def array_lane(request, monkeypatch):
+    """Drain through the heap (False) or force the NumPy array lane (True).
 
-    ``Engine.run`` takes a separate drain loop while the global profiler
-    is on; both must keep the same scheduling semantics.
+    Small tests never stage 16 same-instant wakes, so without the forced
+    ``BULK = 1`` every cohort would take the heap branch of the drain
+    loop; both branches must keep the same scheduling semantics.
     """
-    on = request.param
-    was = PROFILER.enabled
-    if on:
-        PROFILER.enable()
-    else:
-        PROFILER.disable()
-    try:
-        yield on
-    finally:
-        PROFILER.enabled = was
+    if request.param:
+        monkeypatch.setattr(_DelayLane, "BULK", 1)
+    return request.param
 
 
 def test_delay_advances_time():
@@ -367,8 +361,8 @@ def test_schedule_rejects_non_finite_wake():
         eng._schedule(float("nan"), None, None)
 
 
-@pytest.mark.parametrize("profiled", [False, True], indirect=True)
-def test_run_until_boundary_is_inclusive(profiled):
+@pytest.mark.parametrize("array_lane", [False, True], indirect=True)
+def test_run_until_boundary_is_inclusive(array_lane):
     """An event scheduled exactly at ``until`` fires; later ones stay queued."""
     eng = Engine()
     fired = []
@@ -388,8 +382,8 @@ def test_run_until_boundary_is_inclusive(profiled):
     assert eng.now == 15
 
 
-@pytest.mark.parametrize("profiled", [False, True], indirect=True)
-def test_run_until_advances_time_without_events(profiled):
+@pytest.mark.parametrize("array_lane", [False, True], indirect=True)
+def test_run_until_advances_time_without_events(array_lane):
     eng = Engine()
 
     def prog():
@@ -402,8 +396,8 @@ def test_run_until_advances_time_without_events(profiled):
     assert eng.now == 100
 
 
-@pytest.mark.parametrize("profiled", [False, True], indirect=True)
-def test_run_until_in_the_past_is_a_noop(profiled):
+@pytest.mark.parametrize("array_lane", [False, True], indirect=True)
+def test_run_until_in_the_past_is_a_noop(array_lane):
     eng = Engine()
 
     def prog():
@@ -418,8 +412,8 @@ def test_run_until_in_the_past_is_a_noop(profiled):
     assert proc.result == "ok"
 
 
-@pytest.mark.parametrize("profiled", [False, True], indirect=True)
-def test_run_until_never_refires_boundary_events(profiled):
+@pytest.mark.parametrize("array_lane", [False, True], indirect=True)
+def test_run_until_never_refires_boundary_events(array_lane):
     """Events at the boundary fire exactly once across successive runs."""
     eng = Engine()
     hits = []
@@ -549,8 +543,8 @@ def test_engine_counters_report_batched_activity():
 # -- PR 6: AnyOf losing watchers under the cohort drain -----------------------
 
 
-@pytest.mark.parametrize("profiled", [False, True], indirect=True)
-def test_any_of_late_loser_does_not_resurrect_process(profiled):
+@pytest.mark.parametrize("array_lane", [False, True], indirect=True)
+def test_any_of_late_loser_does_not_resurrect_process(array_lane):
     """A losing event firing *after* the race must not resume the racer."""
     eng = Engine()
     winner = eng.event("winner")
@@ -577,8 +571,8 @@ def test_any_of_late_loser_does_not_resurrect_process(profiled):
     assert resumes == [(0, "w", 1.0), ("after", 11.0)]
 
 
-@pytest.mark.parametrize("profiled", [False, True], indirect=True)
-def test_any_of_same_instant_cohort_picks_lowest_index(profiled):
+@pytest.mark.parametrize("array_lane", [False, True], indirect=True)
+def test_any_of_same_instant_cohort_picks_lowest_index(array_lane):
     """Two events firing in one same-timestamp cohort: first fire wins,
     and the loser's watcher dies without a second resume."""
     eng = Engine()
@@ -600,8 +594,8 @@ def test_any_of_same_instant_cohort_picks_lowest_index(profiled):
     assert proc.result == (0, "v0", 5.0)
 
 
-@pytest.mark.parametrize("profiled", [False, True], indirect=True)
-def test_nested_any_of_inside_all_of_under_cohort_drain(profiled):
+@pytest.mark.parametrize("array_lane", [False, True], indirect=True)
+def test_nested_any_of_inside_all_of_under_cohort_drain(array_lane):
     """AllOf over end-events of AnyOf racers, all deciding in one cohort."""
     eng = Engine()
     n = 4
