@@ -262,6 +262,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.link_stats:
         derived["link_stats"] = "on"
     store = _store_from_args(args, default_on=False)
+    hits_before = store.hits if store is not None else 0
     with sampler:
         result = run_app(
             app, model, args.nprocs, wl, placement=args.placement, trace=traced,
@@ -310,7 +311,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(format_link_contention(links))
     if args.profile:
         print()
-        print(sampler.report())
+        if store is not None and store.hits > hits_before:
+            print(
+                "host-time profile: none — the cell was served from the result "
+                "store, nothing was simulated"
+            )
+        else:
+            print(sampler.report())
     _print_store_report(store)
     return rc
 

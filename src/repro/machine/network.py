@@ -15,29 +15,62 @@ routers / 32 CPUs)::
 
 Contention appears as queueing delay on busy links.
 
-There are two ways to move bytes.  :meth:`Network.transfer` is a
-generator that acquires each link of the route through
-``Resource.acquire`` (it handles contention and fault injection).
-:meth:`Network.transfer_async` is the timer path: when the route is free
-and faults are off, it claims every link inline and completes the
-transfer with one engine timer, with no coroutine at all; a contended
-route falls back to the caller's generator from the same engine slot, so
-the timeline is the same either way.
+Every transfer runs one claim state machine, driven by engine callbacks
+rather than a coroutine (:meth:`Network._begin`): count the message,
+draw the fault verdict, claim the route's links in rank order (waiting
+at the first busy one as a :meth:`Resource.claim` callback), set one
+arrival timer for the pipe time plus any stall (a duplicate sets a
+second pipe timer), release the links in reverse order, emit the
+``net``/``fault_*`` observations and report ``delivered``.  Callers
+enter it two ways.  :meth:`Network.transfer_async` starts it from a
+zero-delay timer and calls the caller's callback on arrival (SHMEM
+puts, MPI eager sends).  :meth:`Network.transfer` is the blocking form:
+the calling process parks (:class:`~repro.sim.engine.Park`, no ``seq``)
+and the arrival timer resumes it.  Each step takes exactly the engine
+``seq`` slots a transfer coroutine doing the same steps would take — a
+link grant one zero-delay entry, the arrival one timer — so the
+recorded timelines (``tests/golden``) hold, faults on or off.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.faults import FaultPlane
 from repro.machine.config import MachineConfig
 from repro.machine.stats import MachineStats
 from repro.machine.topology import Topology
 from repro.obs.events import EventLog
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import Engine, Park
 from repro.sim.resources import Resource
 
 __all__ = ["Network"]
+
+
+class _Transfer:
+    """State of one in-flight inter-node transfer (see ``Network._begin``)."""
+
+    __slots__ = (
+        "t0", "src", "dst", "nbytes", "resources", "link_idxs", "claimed",
+        "pipe_ns", "extra_ns", "dropped", "duplicated", "echo",
+        "on_done", "arg",
+    )
+
+    def __init__(self, t0, src, dst, nbytes, resources, link_idxs, pipe_ns, on_done, arg):
+        self.t0 = t0
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.resources = resources
+        self.link_idxs = link_idxs
+        self.claimed = 0          # links of the route held so far
+        self.pipe_ns = pipe_ns
+        self.extra_ns = 0.0       # injected stall
+        self.dropped = False
+        self.duplicated = False
+        self.echo = False         # the duplicate's second pipe is still due
+        self.on_done = on_done
+        self.arg = arg
 
 
 class Network:
@@ -61,7 +94,9 @@ class Network:
             Resource(engine, capacity=1, name=repr(link))
             for link in topology.links
         ]
-        self.timer_fast_transfers = 0  # transfers completed by an engine timer
+        # transfers whose route was free at their start (no link wait);
+        # perfbench reports it as machine.timer_transfer_ratio
+        self.timer_fast_transfers = 0
         # per-link byte counters, allocated only when link stats are on
         # (derived["link_stats"] = "on") — the default pays nothing beyond
         # one is-None check per transfer
@@ -105,169 +140,117 @@ class Network:
     # -- the transfer primitive ---------------------------------------------------
 
     def transfer(self, src_node: int, dst_node: int, nbytes: int) -> Generator:
-        """Generator: completes when the last byte arrives at ``dst_node``.
+        """Blocking transfer: completes when the last byte arrives at ``dst_node``.
 
         Returns ``True`` when the payload was delivered.  With fault
         injection enabled the transfer may be dropped in flight (returns
         ``False``), stalled (a transient per-hop delay while the links are
         held), or duplicated (the links carry the same bytes twice); with
         the fault plane disabled it always returns ``True`` and is
-        bit-identical to the fault-free model.
+        bit-identical to the fault-free model.  The caller parks once;
+        the transfer's arrival timer resumes it.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
-        self.stats.network_messages += 1
-        t0 = self.engine.now if self.obs.enabled else 0.0
-        if src_node == dst_node:
-            yield Delay(nbytes / self.config.intra_node_copy_bpns)
-            if self.obs.enabled:
-                self.obs.emit(
-                    "net", t0, src_node, dst_node, nbytes,
-                    dur=self.engine.now - t0,
-                )
-            return True
-        self.stats.network_bytes += nbytes
-        resources, hops, static_ns, link_idxs = self._route_entry(src_node, dst_node)
-        if self.link_bytes is not None:
-            for i in link_idxs:
-                self.link_bytes[i] += nbytes
-        pipe_ns = static_ns + nbytes / self.config.link_bandwidth_bpns
-        dropped = False
-        extra_ns = 0.0
-        duplicated = False
-        if self.faults.enabled:
-            dropped, extra_ns, duplicated = self.faults.link_verdict(
-                src_node, dst_node, hops, self.engine.now, link_idxs
-            )
-        held: List[Resource] = []
-        try:
-            for res in resources:
-                yield from res.acquire()
-                held.append(res)
-            yield Delay(pipe_ns + extra_ns)
-            if duplicated:
-                # the spurious copy follows back-to-back on the same route;
-                # the receiver filters it, but the links pay for it
-                self.stats.network_bytes += nbytes
-                if self.link_bytes is not None:
-                    for i in link_idxs:
-                        self.link_bytes[i] += nbytes
-                yield Delay(pipe_ns)
-        finally:
-            for res in reversed(held):
-                res.release()
-        if self.obs.enabled:
-            self.obs.emit(
-                "net", t0, src_node, dst_node, nbytes, dur=self.engine.now - t0
-            )
-            if dropped:
-                self.obs.emit("fault_drop", t0, src_node, dst_node, nbytes)
-            if duplicated:
-                self.obs.emit("fault_dup", t0, src_node, dst_node, nbytes)
-            if extra_ns > 0.0:
-                self.obs.emit(
-                    "fault_delay", t0, src_node, dst_node, nbytes,
-                    dur=extra_ns,
-                )
-        return not dropped
+        delivered = yield Park(
+            self._begin, (src_node, dst_node, nbytes, self.engine._step)
+        )
+        return delivered
 
     def transfer_async(
         self,
         src_node: int,
         dst_node: int,
         nbytes: int,
-        on_delivered,
+        on_done: Callable,
         arg,
-        fallback_fn,
-        fallback_args: tuple = (),
-    ) -> bool:
-        """Timer path: deliver without spawning a transfer coroutine.
+    ) -> None:
+        """Non-blocking transfer: ``on_done(arg, delivered)`` runs on arrival.
 
-        The transfer is started by a zero-delay timer
-        (:meth:`_start_transfer`) that occupies exactly the seq slot an
-        ``engine.spawn`` start entry of the fallback would, so completion
-        ties between concurrent transfers order identically on both
-        paths.  At that slot, a contention-free route is claimed inline
-        and completed by a single arrival timer; a contended route
-        *adopts* ``fallback_fn(*fallback_args)`` — the caller's recovery-
-        capable transfer generator — running its first step immediately,
-        which is what a spawned fallback would have been doing in that
-        slot.  Returns ``False`` without side effects when the caller must
-        spawn the fallback itself, which is the case only with fault
-        injection on.  Either way the simulated timeline is identical.
+        The transfer starts from a zero-delay timer, the slot a spawned
+        transfer process would start in, so completion ties between
+        concurrent transfers order as they always have.
         """
-        engine = self.engine
-        if self.faults.enabled:
-            return False
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
-        engine.call_after(
-            0.0,
-            self._start_transfer,
-            (src_node, dst_node, nbytes, on_delivered, arg, fallback_fn, fallback_args),
+        self.engine.call_after(
+            0.0, self._begin, (arg, src_node, dst_node, nbytes, on_done)
         )
-        return True
 
-    def _start_transfer(
-        self, src_node, dst_node, nbytes, on_delivered, arg, fallback_fn, fallback_args
-    ) -> None:
-        """Zero-delay timer leg of :meth:`transfer_async` (spawn-slot parity)."""
+    def _begin(self, arg, src_node, dst_node, nbytes, on_done) -> None:
+        """Start one transfer; ``on_done(arg, delivered)`` ends it."""
         engine = self.engine
+        self.stats.network_messages += 1
+        t0 = engine.now
         if src_node == dst_node:
-            self.stats.network_messages += 1
             self.timer_fast_transfers += 1
-            dur = nbytes / self.config.intra_node_copy_bpns
             engine.call_after(
-                dur,
-                self._finish_local,
-                (engine.now, src_node, dst_node, nbytes, on_delivered, arg),
+                nbytes / self.config.intra_node_copy_bpns,
+                self._arrive_local,
+                (t0, src_node, nbytes, on_done, arg),
             )
             return
-        resources, _hops, static_ns, link_idxs = self._route_entry(src_node, dst_node)
-        for r in resources:
-            if r.in_use >= r.capacity or r._waiters:
-                # contended: run the caller's generator path from this very
-                # slot (no start entry, see Engine.adopt) — it walks the
-                # acquires exactly as a spawned fallback would
-                engine.adopt(fallback_fn(*fallback_args), name="net-xfer")
-                return
-        self.stats.network_messages += 1
         self.stats.network_bytes += nbytes
+        resources, hops, static_ns, link_idxs = self._route_entry(src_node, dst_node)
         if self.link_bytes is not None:
             for i in link_idxs:
                 self.link_bytes[i] += nbytes
-        self.timer_fast_transfers += 1
-        for r in resources:
-            r.total_acquires += 1
-            r._account()
-            r.in_use += 1
-        pipe_ns = static_ns + nbytes / self.config.link_bandwidth_bpns
-        engine.call_after(
-            pipe_ns,
-            self._finish_remote,
-            (engine.now, resources, src_node, dst_node, nbytes, on_delivered, arg),
+        x = _Transfer(
+            t0, src_node, dst_node, nbytes, resources, link_idxs,
+            static_ns + nbytes / self.config.link_bandwidth_bpns, on_done, arg,
         )
-
-    def _finish_local(self, t0, src_node, dst_node, nbytes, on_delivered, arg) -> None:
-        if self.obs.enabled:
-            self.obs.emit(
-                "net", t0, src_node, dst_node, nbytes, dur=self.engine.now - t0
+        if self.faults.enabled:
+            x.dropped, x.extra_ns, x.duplicated = self.faults.link_verdict(
+                src_node, dst_node, hops, t0, link_idxs
             )
-        on_delivered(arg)
+            x.echo = x.duplicated
+        if self._claim(x):
+            self.timer_fast_transfers += 1
 
-    def _finish_remote(
-        self, t0, resources, src_node, dst_node, nbytes, on_delivered, arg
-    ) -> None:
-        # same completion order as the generator path: release the route
-        # (FIFO handoff to any waiter that queued up mid-flight), then the
-        # observation, then the delivery callback
-        for r in reversed(resources):
-            r.release()
+    def _claim(self, x: _Transfer) -> bool:
+        """Claim the route's links in rank order; set the arrival timer.
+
+        Returns ``False`` when a busy link queued this method as its
+        callback: the grant calls it again, from the next link on.
+        """
+        resources = x.resources
+        while x.claimed < len(resources):
+            res = resources[x.claimed]
+            x.claimed += 1
+            if not res.claim(self._claim, (x,)):
+                return False
+        self.engine.call_after(x.pipe_ns + x.extra_ns, self._arrive, (x,))
+        return True
+
+    def _arrive(self, x: _Transfer) -> None:
+        if x.echo:
+            # the spurious copy follows back-to-back on the same route;
+            # the receiver filters it, but the links pay for it
+            x.echo = False
+            self.stats.network_bytes += x.nbytes
+            if self.link_bytes is not None:
+                for i in x.link_idxs:
+                    self.link_bytes[i] += x.nbytes
+            self.engine.call_after(x.pipe_ns, self._arrive, (x,))
+            return
+        for res in reversed(x.resources):
+            res.release()
         if self.obs.enabled:
-            self.obs.emit(
-                "net", t0, src_node, dst_node, nbytes, dur=self.engine.now - t0
-            )
-        on_delivered(arg)
+            obs = self.obs
+            t0, src, dst, nbytes = x.t0, x.src, x.dst, x.nbytes
+            obs.emit("net", t0, src, dst, nbytes, dur=self.engine.now - t0)
+            if x.dropped:
+                obs.emit("fault_drop", t0, src, dst, nbytes)
+            if x.duplicated:
+                obs.emit("fault_dup", t0, src, dst, nbytes)
+            if x.extra_ns > 0.0:
+                obs.emit("fault_delay", t0, src, dst, nbytes, dur=x.extra_ns)
+        x.on_done(x.arg, not x.dropped)
+
+    def _arrive_local(self, t0, node, nbytes, on_done, arg) -> None:
+        if self.obs.enabled:
+            self.obs.emit("net", t0, node, node, nbytes, dur=self.engine.now - t0)
+        on_done(arg, True)
 
     def link_utilisations(self) -> List[float]:
         """Per-link utilisation over the run so far (diagnostics)."""

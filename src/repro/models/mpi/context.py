@@ -199,8 +199,12 @@ class MpiWorld:
             msg.bound = completion
 
     @staticmethod
-    def deliver(msg: _Msg) -> None:
-        """Payload physically arrived at the receiver."""
+    def deliver(msg: _Msg, delivered: bool = True) -> None:
+        """Payload physically arrived at the receiver.
+
+        Also the arrival callback of an eager send's timer transfer,
+        which runs with the fault plane off, so ``delivered`` is True.
+        """
         msg.arrived = True
         if msg.bound is not None:
             msg.bound.fire(msg)
@@ -266,18 +270,16 @@ class MpiContext(BaseContext):
             self._send_seq[dest] = msg.seq + 1
             yield Hop(self.cfg.mpi_os_ns, _isend_hop, (self, msg))
             completion = Event(engine, _SEND_EVT)
-            if not self.machine.network.transfer_async(
-                self.node,
-                self.world.node_of[dest],
-                msg.nbytes,
-                MpiWorld.deliver,
-                msg,
-                self._eager_transfer,
-                (msg,),
-            ):
-                # faults or host profiling active: spawned generator path
+            if self.machine.faults.enabled:
+                # sequence-numbered retransmission needs a sender coroutine
                 engine.spawn(
-                    self._eager_transfer(msg), name=f"mpi-xfer:{self.rank}->{dest}"
+                    self._transfer_with_recovery(msg),
+                    name=f"mpi-xfer:{self.rank}->{dest}",
+                )
+            else:
+                self.machine.network.transfer_async(
+                    self.node, self.world.node_of[dest], msg.nbytes,
+                    MpiWorld.deliver, msg,
                 )
             completion.fire()
             if self._obs.enabled:
@@ -310,8 +312,10 @@ class MpiContext(BaseContext):
     def _transfer_with_recovery(self, msg: _Msg) -> Generator:
         """Move ``msg`` over the wire, retransmitting until it arrives.
 
-        Fault-free (the common case, and always when the fault plane is
-        off) this is exactly one ``network.transfer``.  When the plane
+        Ends by handing the payload to the receiver
+        (:meth:`MpiWorld.deliver`).  Fault-free (the common case, and
+        always when the fault plane is off) this is exactly one
+        ``network.transfer``.  When the plane
         drops the message, the sender times out (``retry_timeout_ns``,
         doubled by ``retry_backoff`` each attempt, as a real sliding-
         window NIC would) and resends the same sequence number; the
@@ -330,12 +334,16 @@ class MpiContext(BaseContext):
         delivered = yield from self.machine.network.transfer(
             src_node, dst_node, msg.nbytes
         )
-        if delivered:
-            return
+        if not delivered:
+            if msg.tag >= _COLL_TAG_BASE and self.machine.faults.profile.coll_resubscribe:
+                yield from self._coll_resubscribe(msg, src_node, dst_node)
+            else:
+                yield from self._retransmit(msg, src_node, dst_node)
+        MpiWorld.deliver(msg)
+
+    def _retransmit(self, msg: _Msg, src_node: int, dst_node: int) -> Generator:
+        """Point-to-point recovery: resend after a backed-off timeout."""
         faults = self.machine.faults
-        if msg.tag >= _COLL_TAG_BASE and faults.profile.coll_resubscribe:
-            yield from self._coll_resubscribe(msg, src_node, dst_node)
-            return
         timeout = faults.profile.retry_timeout_ns
         for attempt in range(1, faults.profile.max_retries + 1):
             yield Delay(timeout)
@@ -407,15 +415,10 @@ class MpiContext(BaseContext):
             f"{p.max_retries} re-subscribes"
         )
 
-    def _eager_transfer(self, msg: _Msg) -> Generator:
-        yield from self._transfer_with_recovery(msg)
-        MpiWorld.deliver(msg)
-
     def _rendezvous_transfer(self, msg: _Msg, completion: Event) -> Generator:
         yield WaitEvent(msg.matched)
         yield Delay(self.cfg.mpi_rendezvous_ns)
         yield from self._transfer_with_recovery(msg)
-        MpiWorld.deliver(msg)
         completion.fire()
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:

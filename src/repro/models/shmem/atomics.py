@@ -35,17 +35,13 @@ def _round_trip(ctx, target_rank: int) -> Generator:
     if target_rank != ctx.rank:
         t0 = ctx.now
         target_node = ctx.cfg.node_of_cpu(target_rank)
-        if ctx.machine.faults.enabled:
-            yield from ctx._with_retries(
-                [
-                    (ctx.node, target_node, _ATOMIC_BYTES),
-                    (target_node, ctx.node, _ATOMIC_BYTES),
-                ],
-                "atomic", target_rank, _ATOMIC_BYTES,
-            )
-        else:
-            yield from ctx.machine.network.transfer(ctx.node, target_node, _ATOMIC_BYTES)
-            yield from ctx.machine.network.transfer(target_node, ctx.node, _ATOMIC_BYTES)
+        yield from ctx._with_retries(
+            [
+                (ctx.node, target_node, _ATOMIC_BYTES),
+                (target_node, ctx.node, _ATOMIC_BYTES),
+            ],
+            "atomic", target_rank, _ATOMIC_BYTES,
+        )
         ctx._charge("comm", ctx.now - t0)
     else:
         yield from ctx.charged_delay("comm", ctx.cfg.lock_rmw_ns)

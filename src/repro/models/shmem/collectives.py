@@ -64,12 +64,9 @@ def _send(ctx, dst: int, tag, value: Any) -> Generator:
 def _deliver(ctx, dst: int, tag, value: Any, size: int) -> Generator:
     wire = size + 8  # data + flag line
     dst_node = ctx.cfg.node_of_cpu(dst)
-    if ctx.machine.faults.enabled:
-        # the partner spins on the flag, so a lost staging put would hang
-        # the collective — retransmit until the flag line lands
-        yield from ctx._with_retries([(ctx.node, dst_node, wire)], "coll", dst, wire)
-    else:
-        yield from ctx.machine.network.transfer(ctx.node, dst_node, wire)
+    # the partner spins on the flag, so a lost staging put would hang
+    # the collective — retransmit until the flag line lands
+    yield from ctx._with_retries([(ctx.node, dst_node, wire)], "coll", dst, wire)
     ctx.world.signal(dst, tag, value)
 
 

@@ -133,6 +133,8 @@ class ShmemContext(BaseContext):
         backed-off timeout — the initiator cannot tell *which* leg died,
         only that no acknowledgement came back.  Raises
         :class:`FaultRecoveryError` once ``max_retries`` is exhausted.
+        With the fault plane off every leg delivers, so this is exactly
+        one pass over the legs.
         """
         net = self.machine.network.transfer
         ok = True
@@ -212,56 +214,40 @@ class ShmemContext(BaseContext):
             return
         done = self.machine.engine.event(name=f"put:{self.rank}->{target_rank}")
         self._outstanding.append(done)
-        # timer fast path: deliver by network callback instead of spawning a
-        # per-put coroutine; transfer_async keeps spawn-slot seq parity, so
-        # the simulated timeline is bit-identical (see Network.transfer_async)
-        if not self.machine.network.transfer_async(
-            self.node,
-            self.cfg.node_of_cpu(target_rank),
-            nbytes,
-            self._put_delivered,
-            (sym, target_rank, snapshot, offset, nbytes, done),
-            self._put_transfer,
-            (sym, target_rank, snapshot, offset, nbytes, done),
-        ):
-            self.machine.engine.spawn(
-                self._put_transfer(sym, target_rank, snapshot, offset, nbytes, done),
-                name=f"shmem-put:{self.rank}->{target_rank}",
-            )
+        self._put_async(
+            target_rank, nbytes, "put",
+            self._put_delivered, (sym, target_rank, snapshot, offset, nbytes, done),
+        )
 
-    def _put_delivered(self, arg) -> None:
-        """Delivery callback for the ``transfer_async`` put fast path."""
-        sym, target_rank, snapshot, offset, nbytes, done = arg
-        self._store(sym, target_rank, snapshot, offset)
-        if self._obs.enabled:
-            self._obs.emit(
-                "put_done", self.now, self.rank, target_rank, nbytes,
-                attrs={"sym": sym.name, "lo": offset, "hi": offset + int(snapshot.size)},
-            )
-        done.fire()
+    def _put_async(self, target_rank: int, nbytes: int, what: str, on_done, arg) -> None:
+        """Send a put's data; ``on_done(arg, True)`` runs once it has arrived.
 
-    def _put_transfer(
-        self,
-        sym: SymmetricArray,
-        target_rank: int,
-        snapshot: np.ndarray,
-        offset: int,
-        nbytes: int,
-        done: Event,
-    ) -> Generator:
+        With the fault plane off the network's timer transfer carries it.
+        With faults on the put is delivery-verified: a coroutine sends the
+        data leg and an ack leg and retries the pair on loss
+        (:meth:`_with_retries`), so ``done`` (and hence quiet/fence) means
+        the data arrived.
+        """
         target_node = self.cfg.node_of_cpu(target_rank)
-        if self.machine.faults.enabled:
-            # delivery-verified put: data leg + ack leg, retried on loss,
-            # so `done` (and hence quiet/fence) means the data arrived
-            yield from self._with_retries(
-                [
-                    (self.node, target_node, nbytes),
-                    (target_node, self.node, self.machine.faults.profile.ack_bytes),
-                ],
-                "put", target_rank, nbytes,
-            )
-        else:
-            yield from self.machine.network.transfer(self.node, target_node, nbytes)
+        if not self.machine.faults.enabled:
+            self.machine.network.transfer_async(self.node, target_node, nbytes, on_done, arg)
+            return
+        legs = [
+            (self.node, target_node, nbytes),
+            (target_node, self.node, self.machine.faults.profile.ack_bytes),
+        ]
+        self.machine.engine.spawn(
+            self._verified_put(legs, what, target_rank, nbytes, on_done, arg),
+            name=f"shmem-{what}:{self.rank}->{target_rank}",
+        )
+
+    def _verified_put(self, legs, what, target_rank, nbytes, on_done, arg) -> Generator:
+        yield from self._with_retries(legs, what, target_rank, nbytes)
+        on_done(arg, True)
+
+    def _put_delivered(self, arg, delivered: bool) -> None:
+        """A put's data has arrived at the target: store it, complete the put."""
+        sym, target_rank, snapshot, offset, nbytes, done = arg
         self._store(sym, target_rank, snapshot, offset)
         if self._obs.enabled:
             self._obs.emit(
@@ -306,17 +292,10 @@ class ShmemContext(BaseContext):
         if source_rank != self.rank:
             t0 = self.now
             src_node = self.cfg.node_of_cpu(source_rank)
-            if self.machine.faults.enabled:
-                yield from self._with_retries(
-                    [
-                        (self.node, src_node, _REQUEST_BYTES),
-                        (src_node, self.node, nbytes),
-                    ],
-                    "get", source_rank, nbytes,
-                )
-            else:
-                yield from self.machine.network.transfer(self.node, src_node, _REQUEST_BYTES)
-                yield from self.machine.network.transfer(src_node, self.node, nbytes)
+            yield from self._with_retries(
+                [(self.node, src_node, _REQUEST_BYTES), (src_node, self.node, nbytes)],
+                "get", source_rank, nbytes,
+            )
             self._charge("comm", self.now - t0)
         else:
             yield from self.charged_delay("comm", nbytes / self.cfg.shmem_copy_bpns)
@@ -488,45 +467,14 @@ class ShmemContext(BaseContext):
             return
         done = self.machine.engine.event(name=f"iput:{self.rank}->{target_rank}")
         self._outstanding.append(done)
-        if not self.machine.network.transfer_async(
-            self.node,
-            self.cfg.node_of_cpu(target_rank),
-            nbytes,
-            self._iput_delivered,
-            (sym, target_rank, snapshot, indices, done),
-            self._iput_transfer,
-            (sym, target_rank, snapshot, indices, nbytes, done),
-        ):
-            self.machine.engine.spawn(
-                self._iput_transfer(sym, target_rank, snapshot, indices, nbytes, done),
-                name=f"shmem-iput:{self.rank}->{target_rank}",
-            )
+        self._put_async(
+            target_rank, nbytes, "iput",
+            self._iput_delivered, (sym, target_rank, snapshot, indices, done),
+        )
 
-    def _iput_delivered(self, arg) -> None:
-        """Delivery callback for the ``transfer_async`` iput fast path."""
+    def _iput_delivered(self, arg, delivered: bool) -> None:
+        """An iput's data has arrived: scatter it, complete the iput."""
         sym, target_rank, snapshot, indices, done = arg
-        sym.copies[target_rank].reshape(-1)[indices] = snapshot.reshape(-1)
-        if self._obs.enabled:
-            self._obs.emit(
-                "put_done", self.now, self.rank, target_rank,
-                int(snapshot.size) * sym.itemsize,
-                attrs={"sym": sym.name, "lo": int(indices[0]) if indices.size else 0,
-                       "hi": (int(indices[-1]) + 1) if indices.size else 0},
-            )
-        done.fire()
-
-    def _iput_transfer(self, sym, target_rank, snapshot, indices, nbytes, done) -> Generator:
-        target_node = self.cfg.node_of_cpu(target_rank)
-        if self.machine.faults.enabled:
-            yield from self._with_retries(
-                [
-                    (self.node, target_node, nbytes),
-                    (target_node, self.node, self.machine.faults.profile.ack_bytes),
-                ],
-                "iput", target_rank, nbytes,
-            )
-        else:
-            yield from self.machine.network.transfer(self.node, target_node, nbytes)
         sym.copies[target_rank].reshape(-1)[indices] = snapshot.reshape(-1)
         if self._obs.enabled:
             self._obs.emit(
@@ -564,17 +512,10 @@ class ShmemContext(BaseContext):
             t0 = self.now
             src_node = self.cfg.node_of_cpu(source_rank)
             wire_bytes = count * self.cfg.line_bytes
-            if self.machine.faults.enabled:
-                yield from self._with_retries(
-                    [
-                        (self.node, src_node, _REQUEST_BYTES),
-                        (src_node, self.node, wire_bytes),
-                    ],
-                    "iget", source_rank, wire_bytes,
-                )
-            else:
-                yield from self.machine.network.transfer(self.node, src_node, _REQUEST_BYTES)
-                yield from self.machine.network.transfer(src_node, self.node, wire_bytes)
+            yield from self._with_retries(
+                [(self.node, src_node, _REQUEST_BYTES), (src_node, self.node, wire_bytes)],
+                "iget", source_rank, wire_bytes,
+            )
             self._charge("comm", self.now - t0)
         else:
             yield from self.charged_delay(

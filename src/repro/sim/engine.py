@@ -13,6 +13,9 @@ request objects:
 ``AnyOf(events)``
     Suspend until at least one event has fired; evaluates to
     ``(index, value)`` of the first event (in list order) that fired.
+``Park(fn, args)``
+    Suspend and run ``fn(proc, *args)`` at once; the callback chain it
+    starts resumes the process (see :class:`Park`).
 
 Processes may also yield *sub-generators* indirectly via ``yield from``,
 which is the idiom every runtime primitive in :mod:`repro.models` uses.
@@ -37,10 +40,10 @@ replays them.
 
 The engine also exposes :meth:`Engine.call_after`, a lightweight timer
 that invokes a plain callback instead of resuming a coroutine, and the
-:class:`Hop` request built on it.  The machine layers use them to
-complete uncontended network transfers and MPI protocol legs without
-paying a full ``Process`` (generator frames, end event, two heap
-round-trips) per in-flight message.
+:class:`Hop` and :class:`Park` requests built around it.  The machine
+layers use them to run every network transfer and the MPI protocol
+legs without paying a full ``Process`` (generator frames, end event,
+two heap round-trips) per in-flight message.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Hop",
+    "Park",
     "Process",
     "Engine",
 ]
@@ -184,6 +188,27 @@ class Hop:
         if not ns >= 0.0 or ns == _INF:
             raise ValueError(f"hop delay must be finite and >= 0, got {ns}")
         self.ns = ns
+        self.fn = fn
+        self.args = args
+
+
+class Park:
+    """Request: park, run ``fn(proc, *args)`` now, resume on cue.
+
+    Unlike :class:`Hop` no timer is queued: the callback runs inside the
+    yielding process's own step and consumes no ``seq``.  The callback
+    chain it starts must eventually resume ``proc``, either by queueing
+    it (``Engine._schedule(delay, proc, value)``, as a resource grant
+    does) or by calling ``Engine._step(proc, value)`` from a later
+    engine entry (never from inside ``fn`` itself); the yield
+    expression evaluates to ``value``.  The network parks a blocking
+    transfer this way, so the arrival timer resumes the caller in the
+    very slot where a ``Delay(pipe)`` wake would have.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable, args: tuple = ()):
         self.fn = fn
         self.args = args
 
@@ -428,21 +453,6 @@ class Engine:
         """Create a fresh event bound to this engine."""
         return Event(self, name=name, reusable=reusable)
 
-    def adopt(self, gen: Generator, name: str = "") -> Process:
-        """Register a process and run its first step *immediately*.
-
-        Used by timer callbacks that stand in a slot where a spawned
-        process would already have started: unlike :meth:`spawn`, no
-        zero-delay start entry is queued (and hence no ``seq`` is
-        consumed), so the adopted generator's first suspension lands on
-        exactly the seq the spawned process's would.
-        """
-        proc = Process(self, gen, pid=len(self._procs), name=name or f"proc{len(self._procs)}")
-        self._procs.append(proc)
-        self._live += 1
-        self._step(proc, None)
-        return proc
-
     # -- scheduling core ----------------------------------------------------
 
     def _schedule(self, delay: float, proc: Optional[Process], value: Any) -> None:
@@ -503,6 +513,9 @@ class Engine:
         elif type(request) is Hop:
             proc._blocked_on = "hop"
             self._schedule(request.ns, None, (request.fn, (proc,) + request.args))
+        elif type(request) is Park:
+            proc._blocked_on = "park"
+            request.fn(proc, *request.args)
         elif isinstance(request, Event):
             self._wait_event(proc, request)
         elif isinstance(request, WaitEvent):

@@ -8,9 +8,9 @@ capacity 1 that a message holds for its transfer time; a mailbox is a
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from repro.sim.engine import Engine, Event, SimError, WaitEvent
+from repro.sim.engine import Engine, Event, Park, Process, SimError, WaitEvent
 
 __all__ = ["Resource", "Mutex", "Channel"]
 
@@ -18,10 +18,14 @@ __all__ = ["Resource", "Mutex", "Channel"]
 class Resource:
     """A counted FIFO resource.
 
-    ``yield from res.acquire()`` blocks until a unit is free; ``res.release()``
-    hands the unit to the longest-waiting acquirer.  Statistics are kept for
-    utilisation accounting (busy time integrates ``in_use`` over virtual
-    time).
+    A unit is taken in one of two ways: ``yield from res.acquire()``
+    blocks a process until a unit is free, and :meth:`claim` takes one
+    for a callback, queueing the callback when none is free.
+    ``res.release()`` hands the unit to the longest waiter of either kind.
+    Each grant costs one zero-delay engine entry (one ``seq``): a process
+    waiter is resumed, a callback waiter is called.  Statistics are kept
+    for utilisation accounting (busy time integrates ``in_use`` over
+    virtual time).
     """
 
     def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
@@ -31,7 +35,10 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # (queued at, process, value) — exactly the engine's (proc, value)
+        # entry shape, so a grant schedules the waiter as it stands:
+        # (proc, None) resumes a process, (None, (fn, args)) calls back
+        self._waiters: Deque[Tuple[float, Optional[Process], Any]] = deque()
         # statistics
         self.total_acquires = 0
         self.waited_acquires = 0   # acquires that found the resource busy
@@ -44,20 +51,37 @@ class Resource:
         self.busy_ns += self.in_use * (now - self._last_change)
         self._last_change = now
 
-    def acquire(self) -> Generator:
-        """Generator primitive: blocks until a unit is granted."""
+    def _take(self) -> bool:
+        """Count one acquire; take a unit if one is free and nobody queues."""
         self.total_acquires += 1
-        start = self.engine.now
         if self.in_use < self.capacity and not self._waiters:
             self._account()
             self.in_use += 1
-            return
-            yield  # pragma: no cover - makes this a generator
-        gate = self.engine.event(name=f"res:{self.name}")
+            return True
         self.waited_acquires += 1
-        self._waiters.append(gate)
-        yield WaitEvent(gate)
-        self.total_wait_ns += self.engine.now - start
+        return False
+
+    def acquire(self) -> Generator:
+        """Generator primitive: blocks until a unit is granted."""
+        if not self._take():
+            yield Park(self._queue_process)
+
+    def _queue_process(self, proc: Process) -> None:
+        proc._blocked_on = f"res:{self.name}"
+        self._waiters.append((self.engine.now, proc, None))
+
+    def claim(self, fn: Callable, args: tuple = ()) -> bool:
+        """Take a unit for a callback.
+
+        Returns ``True`` when a unit was free.  Otherwise queues the
+        callback behind every earlier waiter and returns ``False``; the
+        release that grants it the unit calls ``fn(*args)`` from a
+        zero-delay engine entry, the slot a resumed process would take.
+        """
+        if self._take():
+            return True
+        self._waiters.append((self.engine.now, None, (fn, args)))
+        return False
 
     def release(self) -> None:
         if self.in_use <= 0:
@@ -65,8 +89,10 @@ class Resource:
         self._account()
         if self._waiters:
             # hand the unit directly to the next waiter: in_use stays flat
-            gate = self._waiters.popleft()
-            gate.fire()
+            since, proc, value = self._waiters.popleft()
+            engine = self.engine
+            self.total_wait_ns += engine.now - since
+            engine._schedule(0.0, proc, value)
         else:
             self.in_use -= 1
 

@@ -160,3 +160,21 @@ def test_cli_profile_without_setitimer_exits_cleanly(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["run", "adapt", "mpi", "-p", "2", "-s", "small", "--profile"])
     assert "setitimer" in str(exc.value)
+
+
+def test_cli_profile_on_store_hit_says_nothing_was_simulated(tmp_path, capsys):
+    from repro.__main__ import main
+
+    argv = [
+        "run", "adapt", "mpi", "-p", "4", "-s", "small", "--profile",
+        "--serve", "--cache-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "total" in first and "served from the result store" not in first
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert "served from the result store, nothing was simulated" in second
+    assert "total" not in second
+    # the served cell reports the same simulated time and checksum
+    assert second.splitlines()[:3] == first.splitlines()[:3]

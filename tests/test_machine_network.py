@@ -96,3 +96,51 @@ def test_link_utilisations_shape():
     assert len(utils) == len(m.topology.links)
     assert any(u > 0 for u in utils)
     assert all(0 <= u <= 1.0 + 1e-9 for u in utils)
+
+
+def test_blocking_and_callback_transfers_share_one_link_fifo():
+    """A parked blocking transfer and two callback transfers queue on one link.
+
+    All three leave node 0 through its hub-out link: callback transfer c1
+    claims it at t=0, the blocking transfer queues behind it at t=1 and
+    callback transfer c2 at t=2.  Grants go in FIFO order across both
+    kinds of waiter.  The arrival times, link statistics and engine seq
+    count are literals recorded from the coroutine transfer path, which
+    this timeline must match exactly.
+    """
+    from repro.sim.engine import Delay
+
+    m = Machine(MachineConfig(nprocs=16, derived={"link_stats": "on"}))
+    net, eng = m.network, m.engine
+    arrivals = []
+
+    def arrived(tag, delivered):
+        assert delivered
+        arrivals.append((tag, eng.now))
+
+    def issuer():
+        net.transfer_async(0, 4, 8192, arrived, "c1")
+        yield Delay(2.0)
+        net.transfer_async(0, 6, 2048, arrived, "c2")
+
+    def blocker():
+        yield Delay(1.0)
+        delivered = yield from net.transfer(0, 5, 4096)
+        arrived("blocking", delivered)
+
+    eng.spawn(issuer())
+    eng.spawn(blocker())
+    eng.run()
+    assert arrivals == [
+        ("c1", 10663.564102564102),
+        ("blocking", 16075.846153846152),
+        ("c2", 18903.48717948718),
+    ]
+    hub_out = net.link_stats()[0]
+    assert (hub_out.kind, hub_out.src, hub_out.bytes) == ("hub-out", 0, 14336)
+    assert (hub_out.acquires, hub_out.claim_waits) == (3, 2)
+    assert hub_out.queued_ns == 26736.410256410254
+    assert hub_out.busy_ns == 18903.48717948718
+    assert eng.counters()["events"] == 11
+    assert net.timer_fast_transfers == 1  # only c1 found its route free
+    assert (m.stats.network_messages, m.stats.network_bytes) == (3, 14336)

@@ -475,28 +475,26 @@ def test_call_after_interleaves_fifo_with_process_wakes():
     assert order == ["timer", "a", "b"]
 
 
-def test_adopt_runs_first_step_immediately():
+def test_park_runs_callback_now_and_resume_costs_no_seq():
+    """``Park`` calls back inside the yielding step and queues nothing."""
+    from repro.sim.engine import Park
+
     eng = Engine()
-    steps = []
+    log = []
 
-    def adoptee():
-        steps.append(("start", eng.now))
-        yield Delay(2)
-        steps.append(("end", eng.now))
-        return "adopted"
+    def start(proc, tag):
+        log.append((tag, eng.now, eng.counters()["events"]))
+        eng.call_after(3.0, eng._step, (proc, "woken"))
 
-    def driver():
+    def parker():
         yield Delay(5)
-        proc = eng.adopt(adoptee())
-        # adopt ran the first step synchronously: already inside the generator
-        assert steps == [("start", 5.0)]
-        value = yield WaitEvent(proc.end_event)
-        return value
+        value = yield Park(start, ("parked",))
+        log.append((value, eng.now, eng.counters()["events"]))
 
-    d = eng.spawn(driver())
+    eng.spawn(parker())
     eng.run()
-    assert d.result == "adopted"
-    assert steps == [("start", 5.0), ("end", 7.0)]
+    # spawn (1) + Delay (2) before the park; the timer is the only seq after
+    assert log == [("parked", 5.0, 2), ("woken", 8.0, 3)]
 
 
 def test_batched_and_scalar_timelines_identical():

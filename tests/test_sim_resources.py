@@ -161,3 +161,57 @@ def test_channel_fifo_and_len():
     eng.run()
     assert cons.result == [0, 1, 2]
     assert len(ch) == 0
+
+
+def test_process_and_callback_waiters_granted_fifo():
+    """Mixed waiters on one busy resource are granted in arrival order.
+
+    Each grant is one zero-delay engine entry at the release instant — a
+    resumed process or a called-back callback — so it costs one seq.
+    """
+    eng = Engine()
+    res = Resource(eng, capacity=1, name="link")
+    log = []
+
+    def granted(tag):
+        log.append((tag, eng.now))
+        eng.call_after(5.0, res.release)
+
+    def holder():
+        yield from res.acquire()       # free: no wait, no seq
+        yield Delay(10)
+        res.release()
+
+    def waiter():
+        yield Delay(2)
+        yield from res.acquire()       # queued second, behind the callback
+        log.append(("proc", eng.now))
+        yield Delay(5)
+        res.release()
+
+    def requester():
+        yield Delay(1)
+        assert not res.claim(granted, ("cb1",))   # queued first
+        yield Delay(2)
+        assert not res.claim(granted, ("cb2",))   # queued third
+
+    for gen in (holder(), waiter(), requester()):
+        eng.spawn(gen)
+    eng.run()
+    assert log == [("cb1", 10.0), ("proc", 15.0), ("cb2", 20.0)]
+    assert res.total_acquires == 4
+    assert res.waited_acquires == 3
+    assert res.total_wait_ns == (10.0 - 1) + (15.0 - 2) + (20.0 - 3)
+    assert res.in_use == 0
+    # 3 spawns + 5 Delays + 3 grants + 2 release timers
+    assert eng.counters()["events"] == 13
+
+
+def test_claim_takes_free_unit_without_queueing():
+    eng = Engine()
+    res = Resource(eng, capacity=1)
+    assert res.claim(lambda: None)
+    assert (res.in_use, res.total_acquires, res.waited_acquires) == (1, 1, 0)
+    assert eng.counters()["events"] == 0
+    res.release()
+    assert res.in_use == 0

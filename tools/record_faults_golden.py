@@ -8,10 +8,17 @@ traces to the recordings this script wrote before the correlated-fault
 plane landed.  That is the house rule ("faults off is bit-identical to a
 build without the faults module") made executable.
 
+With ``--faults-on`` it writes ``tests/golden/faults_on.json`` instead:
+the same fields plus the engine's ``events`` (seq) count and the
+fault-plane counters, for all four models at P in {8, 64} under the
+``stress`` and ``bursty-links`` presets.  The fingerprint function and
+the grid live in the test module that replays the file, so the two
+cannot drift apart.
+
 Re-run only when an intentional simulated-time change lands (and say so
 in the commit):
 
-    PYTHONPATH=src python tools/record_faults_golden.py
+    PYTHONPATH=src python tools/record_faults_golden.py [--faults-on]
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "tests", "golden", "faults_off.json"
@@ -62,7 +71,51 @@ def fingerprint(model: str, nprocs: int) -> dict:
     }
 
 
-def main() -> int:
+def _write(path: str, record: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {os.path.relpath(path)} ({len(record['rows'])} rows)")
+
+
+def record_faults_on() -> int:
+    from tests.test_faults_off_golden import (
+        FAULTS_ON_MODELS,
+        FAULTS_ON_PATH,
+        FAULTS_ON_PRESETS,
+        FAULTS_ON_PROCS,
+        faults_on_fingerprint,
+    )
+
+    rows = []
+    for model in FAULTS_ON_MODELS:
+        for nprocs in FAULTS_ON_PROCS:
+            for preset in FAULTS_ON_PRESETS:
+                row = faults_on_fingerprint(model, nprocs, preset)
+                rows.append(row)
+                print(
+                    f"recorded {model:>6} P={nprocs:<3} {preset:<12} "
+                    f"{row['outcome'][:40]} seq={row['engine_events']}"
+                )
+    _write(FAULTS_ON_PATH, {
+        "app": "adapt",
+        "workload": "small (mesh_n=8, phases=3, solver_iters=6)",
+        "models": list(FAULTS_ON_MODELS),
+        "procs": list(FAULTS_ON_PROCS),
+        "presets": list(FAULTS_ON_PRESETS),
+        "rows": rows,
+    })
+    return 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--faults-on"]:
+        return record_faults_on()
+    if argv:
+        print("usage: record_faults_golden.py [--faults-on]", file=sys.stderr)
+        return 2
     rows = []
     for model in MODELS:
         for nprocs in PROCS:
@@ -79,11 +132,7 @@ def main() -> int:
         "procs": list(PROCS),
         "rows": rows,
     }
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.relpath(GOLDEN_PATH)} ({len(rows)} rows)")
+    _write(GOLDEN_PATH, record)
     return 0
 
 
